@@ -1,5 +1,6 @@
-# Build/test entry points. `make ci` is the full gate: vet, build, unit
-# tests under both the SIMD and `noasm` builds, the race-detector pass
+# Build/test entry points. `make ci` is the full gate: gofmt, vet,
+# build, unit tests (at GOMAXPROCS 1, 2 and 4) under both the SIMD and
+# `noasm` builds, the race-detector pass
 # (which also runs every coder's concurrent conformance hammering), and
 # short fuzz smoke runs of the checked-in corpora plus 5s of fresh
 # exploration per target.
@@ -7,12 +8,16 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build vet lint errvet test test-noasm race race-hammer chaos net-chaos topo-chaos crash fuzz bench-pr1 bench-pr2 bench-pr6 bench-pr7 bench-pr9 bench-pr10 stress metrics-bench ci
+.PHONY: all build fmt vet lint errvet test test-noasm race race-hammer chaos net-chaos topo-chaos crash fuzz bench-pr1 bench-pr2 bench-pr6 bench-pr7 bench-pr9 bench-pr10 stress metrics-bench ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fails listing every file gofmt would change.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -33,8 +38,10 @@ lint: vet
 		echo "staticcheck not installed; skipping"; \
 	fi
 
+# Every unit test runs at GOMAXPROCS 1, 2 and 4: a 1-CPU host alone
+# would hide concurrency bugs that only show with several Ps.
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 ./...
 
 # Same suite with the assembly GF(2^8) kernels compiled out: proves the
 # pure-Go fallback (and therefore every non-SIMD platform) passes.
@@ -142,4 +149,4 @@ bench-pr9:
 bench-pr10:
 	$(GO) run ./cmd/apprbench -exp pr10 -iters 3
 
-ci: lint errvet build test test-noasm race race-hammer stress chaos net-chaos topo-chaos crash fuzz metrics-bench bench-pr7 bench-pr9 bench-pr10
+ci: fmt lint errvet build test test-noasm race race-hammer stress chaos net-chaos topo-chaos crash fuzz metrics-bench bench-pr7 bench-pr9 bench-pr10

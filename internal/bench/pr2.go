@@ -53,9 +53,9 @@ type PR2CoderCase struct {
 // plan (cold: fresh coder per decode) against decodes sharing one
 // coder's plan cache (warm: the plan is computed once and replayed).
 type PR2PlanCase struct {
-	Coder    string `json:"coder"`
-	Pattern  []int  `json:"pattern"`
-	Iters    int    `json:"iters"`
+	Coder    string  `json:"coder"`
+	Pattern  []int   `json:"pattern"`
+	Iters    int     `json:"iters"`
 	ColdSecs float64 `json:"cold_secs_per_decode"`
 	WarmSecs float64 `json:"warm_secs_per_decode"`
 	Speedup  float64 `json:"speedup"`

@@ -68,15 +68,15 @@ type PR9Overhead struct {
 
 // PR9Report is the machine-readable result of the PR9 experiment.
 type PR9Report struct {
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"numcpu"`
-	Workload   PR9Workload  `json:"workload"`
-	Overhead   PR9Overhead  `json:"overhead"`
-	Frontier   []PR9TierRow `json:"frontier"`
-	Promotions int64        `json:"tier_promotions"`
-	Demotions  int64        `json:"tier_demotions"`
-	CacheHits  int64        `json:"cache_hits"`
-	CacheMisses int64       `json:"cache_misses"`
+	GOMAXPROCS  int          `json:"gomaxprocs"`
+	NumCPU      int          `json:"numcpu"`
+	Workload    PR9Workload  `json:"workload"`
+	Overhead    PR9Overhead  `json:"overhead"`
+	Frontier    []PR9TierRow `json:"frontier"`
+	Promotions  int64        `json:"tier_promotions"`
+	Demotions   int64        `json:"tier_demotions"`
+	CacheHits   int64        `json:"cache_hits"`
+	CacheMisses int64        `json:"cache_misses"`
 	// TieringTargetMet is deterministic (byte and event counts, not
 	// timings): the tiered fleet stays under the 3x all-replication
 	// overhead while the manager actually promoted, demoted, and served

@@ -86,11 +86,24 @@ type Op struct {
 // NodeIO is the I/O surface between the storage layer and one set of
 // (simulated) DataNodes. The store's in-memory nodes implement it; the
 // Injector wraps any implementation with fault injection.
+//
+// Buffer ownership is the same for every implementation, local or
+// remote:
+//   - WriteColumn borrows data for the duration of the call only. The
+//     caller may reuse or overwrite the buffer as soon as the call
+//     returns, so an implementation that keeps the bytes must copy them.
+//   - ReadColumn returns a buffer the caller owns: the implementation
+//     keeps no reference to it, and the caller may modify or recycle it.
+//
+// Callers rely on both halves: the store recycles its encoded column
+// buffers (colPool) once the writes return, and a netio DataNode
+// recycles its pooled request frames once WriteColumn returns.
 type NodeIO interface {
 	// ReadColumn returns the stored column of (object, stripe) on the
-	// node, or an error.
+	// node in a buffer the caller owns, or an error.
 	ReadColumn(node int, object string, stripe int) ([]byte, error)
-	// WriteColumn stores a column of (object, stripe) on the node.
+	// WriteColumn stores a column of (object, stripe) on the node. data
+	// is borrowed until the call returns; keeping it requires a copy.
 	WriteColumn(node int, object string, stripe int, data []byte) error
 }
 
@@ -104,7 +117,8 @@ type NodeIO interface {
 type PartialReader interface {
 	// ReadColumnAt returns n bytes of the stored column of (object,
 	// stripe) on the node starting at offset off, or an error. The
-	// range must lie within the column.
+	// range must lie within the column. As for NodeIO.ReadColumn, the
+	// returned buffer belongs to the caller.
 	ReadColumnAt(node int, object string, stripe int, off, n int) ([]byte, error)
 }
 

@@ -28,13 +28,13 @@ func (f *fakeIO) ReadColumn(node int, object string, stripe int) ([]byte, error)
 	if !ok {
 		return nil, errors.New("fake: missing")
 	}
-	return d, nil
+	return append([]byte(nil), d...), nil
 }
 
 func (f *fakeIO) WriteColumn(node int, object string, stripe int, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.cols[key(node, object, stripe)] = data
+	f.cols[key(node, object, stripe)] = append([]byte(nil), data...)
 	return nil
 }
 

@@ -325,11 +325,18 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return c.jitterHalf(d)
 }
 
+// request is one request payload, sent as a frame of two parts: hdr
+// (the message type and encoded fields) and data (a write's column
+// bytes, nil otherwise). data is the caller's buffer, borrowed until
+// the operation returns, so only unhedged operations may carry it: a
+// hedge loser can still be sending after its operation has returned.
+type request struct{ hdr, data []byte }
+
 // roundTrip performs one framed request/response exchange on one
 // connection. The connection is pooled again only after a fully clean
 // exchange — any transport hiccup, timeout, or protocol violation
 // poisons it.
-func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, node int, req request) ([]byte, error) {
 	p, err := c.pool(node)
 	if err != nil {
 		return nil, err
@@ -355,17 +362,14 @@ func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, e
 	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })
 	defer stop()
 
-	if err := writeFrame(conn, req); err != nil {
+	if err := writeFrame(conn, req.hdr, req.data); err != nil {
 		return nil, c.transportErr(ctx, node, "send", err)
 	}
-	resp, err := readFrame(conn)
+	typ, body, err := readResp(conn)
 	if err != nil {
 		return nil, c.transportErr(ctx, node, "receive", err)
 	}
-	if len(resp) == 0 {
-		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
-	}
-	switch msgType(resp[0]) {
+	switch typ {
 	case msgErrResp:
 		// A structured error leaves the connection in protocol sync.
 		if !stop() {
@@ -373,18 +377,20 @@ func (c *Client) roundTrip(ctx context.Context, node int, req []byte) ([]byte, e
 		}
 		_ = conn.SetDeadline(time.Time{})
 		good = true
-		return nil, decodeErrResp(resp[1:])
+		return nil, decodeErrResp(body)
 	case msgDataResp, msgOKResp:
 		if !stop() {
 			// Cancellation raced the response; the deadline may already
 			// have poisoned the socket, so do not pool it.
-			return resp[1:], nil
+			return body, nil
 		}
 		_ = conn.SetDeadline(time.Time{})
 		good = true
-		return resp[1:], nil
+		return body, nil
+	case 0:
+		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
 	default:
-		return nil, fmt.Errorf("%w: unexpected response type 0x%02x", ErrProtocol, resp[0])
+		return nil, fmt.Errorf("%w: unexpected response type 0x%02x", ErrProtocol, byte(typ))
 	}
 }
 
@@ -407,7 +413,7 @@ func (c *Client) transportErr(ctx context.Context, node int, verb string, err er
 // primary leg has not answered within HedgeDelay, a second leg races it
 // on another connection and the first response wins. The losing leg is
 // cancelled and its connection dropped.
-func (c *Client) attempt(ctx context.Context, node int, req []byte, hedge bool) ([]byte, error) {
+func (c *Client) attempt(ctx context.Context, node int, req request, hedge bool) ([]byte, error) {
 	if !hedge || c.retry.HedgeDelay <= 0 {
 		return c.roundTrip(ctx, node, req)
 	}
@@ -462,7 +468,7 @@ func (c *Client) attempt(ctx context.Context, node int, req []byte, hedge bool) 
 
 // do is the operation runner: health gate, default deadline, bounded
 // retries with jittered backoff around attempt().
-func (c *Client) do(ctx context.Context, node int, req []byte, hedge bool, rm *rpcMetrics) ([]byte, error) {
+func (c *Client) do(ctx context.Context, node int, req request, hedge bool, rm *rpcMetrics) ([]byte, error) {
 	rm.total.Inc()
 	t0 := time.Now()
 	data, err := c.doInner(ctx, node, req, hedge)
@@ -475,7 +481,7 @@ func (c *Client) do(ctx context.Context, node int, req []byte, hedge bool, rm *r
 	return data, nil
 }
 
-func (c *Client) doInner(ctx context.Context, node int, req []byte, hedge bool) ([]byte, error) {
+func (c *Client) doInner(ctx context.Context, node int, req request, hedge bool) ([]byte, error) {
 	if node < 0 {
 		return nil, fmt.Errorf("%w: negative node %d", ErrInvalid, node)
 	}
@@ -534,21 +540,26 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // --- chaos.CtxIO ---
 
-// ReadColumnCtx implements chaos.CtxIO.
+// ReadColumnCtx implements chaos.CtxIO. The returned column is a fresh
+// buffer the caller owns.
 func (c *Client) ReadColumnCtx(ctx context.Context, node int, object string, stripe int) ([]byte, error) {
-	return c.do(ctx, node, encodeReadReq(node, object, stripe), true, &c.m.read)
+	return c.do(ctx, node, request{hdr: encodeReadReq(node, object, stripe)}, true, &c.m.read)
 }
 
-// ReadColumnAtCtx implements chaos.CtxIO.
+// ReadColumnAtCtx implements chaos.CtxIO. The returned range is a
+// fresh buffer the caller owns.
 func (c *Client) ReadColumnAtCtx(ctx context.Context, node int, object string, stripe, off, n int) ([]byte, error) {
-	return c.do(ctx, node, encodeReadAtReq(node, object, stripe, off, n), true, &c.m.readAt)
+	return c.do(ctx, node, request{hdr: encodeReadAtReq(node, object, stripe, off, n)}, true, &c.m.readAt)
 }
 
-// WriteColumnCtx implements chaos.CtxIO. Writes are never hedged — two
-// racing writes of the same column are harmless (idempotent payload)
-// but wasteful.
+// WriteColumnCtx implements chaos.CtxIO. data goes to the socket
+// straight from the caller's slice and is not referenced once the call
+// returns. Writes are never hedged — two racing writes of the same
+// column are harmless (idempotent payload) but wasteful, and a hedge
+// could outlive the call that lent data.
 func (c *Client) WriteColumnCtx(ctx context.Context, node int, object string, stripe int, data []byte) error {
-	_, err := c.do(ctx, node, encodeWriteReq(node, object, stripe, data), false, &c.m.write)
+	req := request{hdr: writeReqHeader(node, object, stripe, len(data)), data: data}
+	_, err := c.do(ctx, node, req, false, &c.m.write)
 	return err
 }
 
@@ -579,7 +590,7 @@ func (c *Client) Ping(ctx context.Context, node int) error {
 		ctx, cancel = context.WithTimeout(ctx, c.retry.OpDeadline)
 		defer cancel()
 	}
-	_, err := c.roundTrip(ctx, node, newEnc(msgPingReq).b)
+	_, err := c.roundTrip(ctx, node, request{hdr: newEnc(msgPingReq).b})
 	c.m.ping.seconds.Observe(time.Since(t0))
 	if err != nil {
 		c.m.ping.errors.Inc()

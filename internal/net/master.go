@@ -172,8 +172,8 @@ type Master struct {
 	// heartbeat answer for an unknown incarnation is the same "re-register"
 	// fence), so regs is bounded by live DataNode processes rather than
 	// growing with churn.
-	regs   map[uint64]*registration
-	byNode map[int]*registration // node index → owning registration (latest wins)
+	regs    map[uint64]*registration
+	byNode  map[int]*registration // node index → owning registration (latest wins)
 	objects map[string]uint32
 	closed  bool
 	conns   connSet

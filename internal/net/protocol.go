@@ -27,6 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"net"
+	"sync"
 
 	"approxcode/internal/chaos"
 )
@@ -38,7 +41,9 @@ import (
 const (
 	// maxFrame bounds a frame payload; a peer announcing more is
 	// protocol-corrupt and the connection is dropped.
-	maxFrame = 64 << 20
+	maxFrame = 1 << maxFrameClass // 64 MiB
+	// maxFrameClass is log2(maxFrame), the largest pooled size class.
+	maxFrameClass = 26
 )
 
 type msgType uint8
@@ -93,31 +98,67 @@ var (
 	ErrClosed = errors.New("netio: closed")
 )
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, len(payload))
+// coalesceMax is the largest frame writeFrame copies into one buffer
+// with its length prefix; bigger frames go out gathered. Below it a
+// copy is cheaper than a second iovec.
+const coalesceMax = 4 << 10
+
+// writeFrame writes one length-prefixed frame whose payload is the
+// concatenation of parts. The bytes on the wire are the same however
+// the payload is split. A small frame is coalesced into one buffer; a
+// large one is sent as | len + leading small parts | large part | ...
+// with one net.Buffers write (writev on a TCP connection), so a column
+// payload goes from the caller's slice to the socket without a copy.
+// writeFrame keeps no reference to parts once it returns.
+func writeFrame(w io.Writer, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	// One writev-friendly write: header and payload go out together so
-	// a concurrent close cannot tear the frame boundary.
-	buf := make([]byte, 0, 4+len(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
+	if n > maxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+	}
+	// The length prefix and every part before the first large one share
+	// one small buffer.
+	i, head := 0, 4
+	for ; i < len(parts) && (n <= coalesceMax || len(parts[i]) <= coalesceMax); i++ {
+		head += len(parts[i])
+	}
+	buf := make([]byte, 4, head)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	for _, p := range parts[:i] {
+		buf = append(buf, p...)
+	}
+	if i == len(parts) {
+		_, err := w.Write(buf)
+		return err
+	}
+	bufs := make(net.Buffers, 0, 1+len(parts)-i)
+	bufs = append(bufs, buf)
+	bufs = append(bufs, parts[i:]...)
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame reads one length-prefixed frame payload.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrameLen reads and bounds-checks a frame's length prefix.
+func readFrameLen(r io.Reader) (int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+		return 0, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+	}
+	return int(n), nil
+}
+
+// readFrame reads one length-prefixed frame payload into a fresh
+// buffer the caller owns.
+func readFrame(r io.Reader) ([]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -126,15 +167,80 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// readResp reads one response frame, returning its message type and
+// its body in a fresh buffer of exactly the body's size: the client
+// hands that body to its caller, who owns it, so it is neither pooled
+// nor rounded up by a type byte in front of it. An empty frame reads
+// as message type 0, which no peer sends.
+func readResp(r io.Reader) (msgType, []byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil || n == 0 {
+		return 0, nil, err
+	}
+	var t [1]byte
+	if _, err := io.ReadFull(r, t[:]); err != nil {
+		return 0, nil, err
+	}
+	body := make([]byte, n-1)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, err
+	}
+	return msgType(t[0]), body, nil
+}
+
+// framePool recycles the DataNode's request buffers, one sync.Pool per
+// power-of-two size class up to maxFrame. A buffer in class c has a
+// capacity of exactly 1<<c.
+var framePool [maxFrameClass + 1]sync.Pool
+
+// minFrameClass is the smallest size class: every frame of up to
+// 512 bytes (reads, pings) shares it.
+const minFrameClass = 9
+
+// frameClass returns the size class that holds an n-byte frame.
+func frameClass(n int) int {
+	if n <= 1<<minFrameClass {
+		return minFrameClass
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// readPooledFrame reads one frame payload into a pooled buffer. The
+// caller must hand the returned pointer to putFrame once nothing refers
+// to the payload any more.
+func readPooledFrame(r io.Reader) (*[]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
+	}
+	c := frameClass(n)
+	bp, _ := framePool[c].Get().(*[]byte)
+	if bp == nil {
+		b := make([]byte, 1<<c)
+		bp = &b
+	}
+	*bp = (*bp)[:n]
+	if _, err := io.ReadFull(r, *bp); err != nil {
+		putFrame(bp)
+		return nil, err
+	}
+	return bp, nil
+}
+
+// putFrame returns a buffer from readPooledFrame to its size class.
+func putFrame(bp *[]byte) {
+	c := bits.Len(uint(cap(*bp))) - 1
+	framePool[c].Put(bp)
+}
+
 // enc is an append-only payload encoder.
 type enc struct{ b []byte }
 
-func newEnc(t msgType) *enc        { return &enc{b: []byte{byte(t)}} }
-func (e *enc) u8(v uint8) *enc     { e.b = append(e.b, v); return e }
-func (e *enc) u32(v uint32) *enc   { e.b = binary.BigEndian.AppendUint32(e.b, v); return e }
-func (e *enc) u64(v uint64) *enc   { e.b = binary.BigEndian.AppendUint64(e.b, v); return e }
-func (e *enc) str(s string) *enc   { e.u32(uint32(len(s))); e.b = append(e.b, s...); return e }
-func (e *enc) bytes(p []byte) *enc { e.u32(uint32(len(p))); e.b = append(e.b, p...); return e }
+func newEnc(t msgType) *enc      { return &enc{b: []byte{byte(t)}} }
+func (e *enc) u8(v uint8) *enc   { e.b = append(e.b, v); return e }
+func (e *enc) u32(v uint32) *enc { e.b = binary.BigEndian.AppendUint32(e.b, v); return e }
+func (e *enc) u64(v uint64) *enc { e.b = binary.BigEndian.AppendUint64(e.b, v); return e }
+func (e *enc) str(s string) *enc { e.u32(uint32(len(s))); e.b = append(e.b, s...); return e }
 
 // dec is a cursor-based payload decoder; the first decode error sticks
 // and zero values flow from then on, so call sites check err once.
@@ -220,8 +326,21 @@ func encodeReadAtReq(node int, object string, stripe, off, n int) []byte {
 		u32(uint32(off)).u32(uint32(n)).str(object).b
 }
 
+// writeReqHeader encodes every byte of a msgWriteReq payload that
+// precedes the column data, in a buffer of exactly that size. Sending
+// it followed by the n data bytes puts the same bytes on the wire as
+// encodeWriteReq, without copying the column.
+func writeReqHeader(node int, object string, stripe, n int) []byte {
+	e := &enc{b: make([]byte, 0, 1+4+4+4+len(object)+4)}
+	e.u8(uint8(msgWriteReq)).u32(uint32(node)).u32(uint32(stripe)).str(object).u32(uint32(n))
+	return e.b
+}
+
+// encodeWriteReq encodes a whole msgWriteReq payload in one buffer (the
+// chaos proxy's rewritten writes; the client sends writeReqHeader and
+// the data as separate parts instead).
 func encodeWriteReq(node int, object string, stripe int, data []byte) []byte {
-	return newEnc(msgWriteReq).u32(uint32(node)).u32(uint32(stripe)).str(object).bytes(data).b
+	return append(writeReqHeader(node, object, stripe, len(data)), data...)
 }
 
 // writeReq is a decoded msgWriteReq (the chaos proxy rewrites these for

@@ -136,30 +136,45 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// Response headers of the replies that carry no encoded fields; a
+// data reply is dataRespHdr followed by the backend's bytes.
+var (
+	dataRespHdr = []byte{byte(msgDataResp)}
+	okResp      = []byte{byte(msgOKResp)}
+)
+
 func (s *Server) serveConn(conn net.Conn) {
 	for {
 		// Idle pooled connections park here without a deadline; the
 		// client pool owns connection lifetime.
-		payload, err := readFrame(conn)
+		frame, err := readPooledFrame(conn)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				s.m.badFrames.Inc()
 			}
 			return
 		}
-		resp := s.dispatch(payload)
+		// The request buffer goes back to the pool once the reply is
+		// sent: the backend only borrowed it (chaos.NodeIO), and the
+		// reply never aliases it.
+		hdr, data := s.dispatch(*frame)
 		_ = conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := writeFrame(conn, resp); err != nil {
+		err = writeFrame(conn, hdr, data)
+		putFrame(frame)
+		if err != nil {
 			return
 		}
 		_ = conn.SetWriteDeadline(time.Time{})
 	}
 }
 
-func (s *Server) dispatch(payload []byte) []byte {
+// dispatch serves one request payload. The reply payload is hdr
+// followed by data; data, when set, is the backend's column bytes,
+// sent without a copy.
+func (s *Server) dispatch(payload []byte) (hdr, data []byte) {
 	if len(payload) == 0 {
 		s.m.badFrames.Inc()
-		return encodeErrResp(fmt.Errorf("%w: empty payload", ErrProtocol))
+		return encodeErrResp(fmt.Errorf("%w: empty payload", ErrProtocol)), nil
 	}
 	body := payload[1:]
 	switch msgType(payload[0]) {
@@ -168,19 +183,19 @@ func (s *Server) dispatch(payload []byte) []byte {
 	case msgReadAtReq:
 		return s.handleReadAt(body)
 	case msgWriteReq:
-		return s.handleWrite(body)
+		return s.handleWrite(body), nil
 	case msgPingReq:
 		t0 := time.Now()
 		s.m.ping.total.Inc()
 		s.m.ping.seconds.Observe(time.Since(t0))
-		return newEnc(msgOKResp).b
+		return okResp, nil
 	default:
 		s.m.badFrames.Inc()
-		return encodeErrResp(fmt.Errorf("%w: unexpected message type 0x%02x", ErrInvalid, payload[0]))
+		return encodeErrResp(fmt.Errorf("%w: unexpected message type 0x%02x", ErrInvalid, payload[0])), nil
 	}
 }
 
-func (s *Server) handleRead(body []byte) []byte {
+func (s *Server) handleRead(body []byte) (hdr, data []byte) {
 	t0 := time.Now()
 	s.m.read.total.Inc()
 	d := newDec(body)
@@ -189,19 +204,19 @@ func (s *Server) handleRead(body []byte) []byte {
 	object := d.str()
 	if d.err != nil {
 		s.m.read.errors.Inc()
-		return encodeErrResp(d.err)
+		return encodeErrResp(d.err), nil
 	}
 	data, err := s.cfg.Backend.ReadColumn(node, object, stripe)
 	s.m.read.seconds.Observe(time.Since(t0))
 	if err != nil {
 		s.m.read.errors.Inc()
-		return encodeErrResp(err)
+		return encodeErrResp(err), nil
 	}
 	s.m.read.bytes.Add(int64(len(data)))
-	return append(newEnc(msgDataResp).b, data...)
+	return dataRespHdr, data
 }
 
-func (s *Server) handleReadAt(body []byte) []byte {
+func (s *Server) handleReadAt(body []byte) (hdr, data []byte) {
 	t0 := time.Now()
 	s.m.readAt.total.Inc()
 	d := newDec(body)
@@ -212,7 +227,7 @@ func (s *Server) handleReadAt(body []byte) []byte {
 	object := d.str()
 	if d.err != nil {
 		s.m.readAt.errors.Inc()
-		return encodeErrResp(d.err)
+		return encodeErrResp(d.err), nil
 	}
 	// Reject wire values that don't fit the platform int (or whose sum
 	// doesn't) before converting: on 32-bit a malformed request could
@@ -222,10 +237,9 @@ func (s *Server) handleReadAt(body []byte) []byte {
 	if int64(offU) > maxInt || int64(nU) > maxInt || int64(offU)+int64(nU) > maxInt {
 		s.m.readAt.errors.Inc()
 		return encodeErrResp(fmt.Errorf("%w: range [%d,%d) exceeds platform limits",
-			ErrInvalid, offU, int64(offU)+int64(nU)))
+			ErrInvalid, offU, int64(offU)+int64(nU))), nil
 	}
 	off, n := int(offU), int(nU)
-	var data []byte
 	var err error
 	if pr, ok := s.cfg.Backend.(chaos.PartialReader); ok {
 		data, err = pr.ReadColumnAt(node, object, stripe, off, n)
@@ -246,12 +260,14 @@ func (s *Server) handleReadAt(body []byte) []byte {
 	s.m.readAt.seconds.Observe(time.Since(t0))
 	if err != nil {
 		s.m.readAt.errors.Inc()
-		return encodeErrResp(err)
+		return encodeErrResp(err), nil
 	}
 	s.m.readAt.bytes.Add(int64(len(data)))
-	return append(newEnc(msgDataResp).b, data...)
+	return dataRespHdr, data
 }
 
+// handleWrite stores one column. req.data aliases the pooled request
+// frame; the backend borrows it for the call only.
 func (s *Server) handleWrite(body []byte) []byte {
 	t0 := time.Now()
 	s.m.write.total.Inc()
@@ -267,7 +283,7 @@ func (s *Server) handleWrite(body []byte) []byte {
 		return encodeErrResp(err)
 	}
 	s.m.write.bytes.Add(int64(len(req.data)))
-	return newEnc(msgOKResp).b
+	return okResp
 }
 
 // heartbeatLoop maintains the master lease: register (with retry) to

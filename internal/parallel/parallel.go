@@ -14,7 +14,8 @@
 // makes the engine safe to use reentrantly (a parallel coder invoked
 // from inside a parallel codeword fan-out): when the pool is saturated
 // the nested call simply degrades to inline execution instead of
-// deadlocking.
+// deadlocking, and a helper still queued when the caller finishes is
+// cancelled rather than waited for.
 package parallel
 
 import (
@@ -173,14 +174,33 @@ func Run(n, workers int, fn func(i int)) {
 			fn(i)
 		}
 	}
-	for h := 0; h < workers-1; h++ {
+	// A queued helper may never start: every pool worker can be blocked
+	// in an outer Run's Wait (a nested Run called from a helper). So
+	// each helper claims its slot before running, and once the caller's
+	// own loop is done it cancels the slots still unclaimed and waits
+	// only for helpers that actually started.
+	claims := make([]atomic.Bool, workers-1)
+	submitted := 0
+	for h := range claims {
+		claim := &claims[h]
 		wg.Add(1)
-		if !trySubmit(func() { defer wg.Done(); loop() }) {
+		if !trySubmit(func() {
+			if claim.CompareAndSwap(false, true) {
+				defer wg.Done()
+				loop()
+			}
+		}) {
 			wg.Done()
 			break // saturated: the caller and already-submitted helpers finish the rest
 		}
+		submitted++
 	}
 	loop()
+	for h := range claims[:submitted] {
+		if claims[h].CompareAndSwap(false, true) {
+			wg.Done() // cancelled before it started
+		}
+	}
 	wg.Wait()
 	if r, ok := panicked.Load().(recovered); ok {
 		panic(r.v)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCoversEveryIndex(t *testing.T) {
@@ -32,6 +33,45 @@ func TestRunNested(t *testing.T) {
 	})
 	if total != 256 {
 		t.Fatalf("nested Run executed %d of 256 tasks", total)
+	}
+}
+
+// TestRunNestedInSaturatedPool pins the nested-Run deadlock: every pool
+// worker runs an outer helper that, once all of them have started,
+// calls a nested Run. The nested helpers queue behind workers that are
+// all busy in the outer fan-out, so a Run that waited for helpers that
+// never started would hang here.
+func TestRunNestedInSaturatedPool(t *testing.T) {
+	ensurePool()
+	workers := cap(pool.jobs) / 2
+	// Let the workers drain jobs left by earlier tests, so every outer
+	// helper below is queued rather than shed.
+	for deadline := time.Now().Add(5 * time.Second); len(pool.jobs) > 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("pool workers never drained the job queue")
+		}
+	}
+	var entered sync.WaitGroup
+	entered.Add(workers + 1)
+	var total atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// workers+1 tasks on workers+1 participants, each task held
+		// until all have started: the caller plus one helper per worker.
+		Run(workers+1, workers+1, func(int) {
+			entered.Done()
+			entered.Wait()
+			Run(4, 2, func(int) { total.Add(1) })
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested Run inside a saturated pool deadlocked")
+	}
+	if got, want := total.Load(), int64(4*(workers+1)); got != want {
+		t.Fatalf("nested Run executed %d of %d tasks", got, want)
 	}
 }
 

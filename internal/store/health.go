@@ -72,8 +72,8 @@ type nodeHealth struct {
 	// check could fail: only a read of this node that VERIFIES clears
 	// it (see verified), so a node persistently serving damaged bytes
 	// escalates suspect → failed even though every I/O "succeeds".
-	corrupts  int
-	probation int
+	corrupts   int
+	probation  int
 	fails, oks int64
 }
 

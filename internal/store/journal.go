@@ -157,6 +157,11 @@ type journal struct {
 	queue  []*pendingAppend
 	leader bool
 	wbuf   []byte // leader's reusable batch buffer
+	// crashed is set when a batch commit panicked (a simulated process
+	// death): the file may end in a torn record, so every queued and
+	// later append fails with it instead of being written after the
+	// tear, where recovery could never read it back.
+	crashed error
 }
 
 // pendingAppend is one queued record waiting for a batch commit.
@@ -235,6 +240,10 @@ func (j *journal) append(t recType, payload any) (uint64, error) {
 	}
 	p := &pendingAppend{t: t, body: body, done: make(chan struct{})}
 	j.mu.Lock()
+	if err := j.crashed; err != nil {
+		j.mu.Unlock()
+		return 0, err
+	}
 	j.queue = append(j.queue, p)
 	if j.leader {
 		// A leader is committing; it (or its successor loop) will pick
@@ -284,14 +293,22 @@ func (j *journal) writeBatch(base uint64, batch []*pendingAppend) {
 		}
 	}
 	// A simulated crash (chaos.Crasher panic) kills the leader
-	// mid-commit; fail the batch's unacknowledged waiters before
-	// re-panicking so concurrent test harnesses observe the failed
-	// appends instead of hanging on goroutines a "dead process" owns.
+	// mid-commit. Before re-panicking, fail the batch's unacknowledged
+	// waiters and every record queued behind it, release leadership and
+	// mark the journal crashed, so concurrent test harnesses observe
+	// failed appends instead of hanging on a leader that is gone.
 	defer func() {
 		if r := recover(); r != nil {
-			for _, p := range batch {
+			crashed := errors.New("store journal: crashed during batch commit")
+			j.mu.Lock()
+			j.crashed = crashed
+			j.leader = false
+			queued := j.queue
+			j.queue = nil
+			j.mu.Unlock()
+			for _, p := range append(batch, queued...) {
 				if !p.finished {
-					p.err = fmt.Errorf("store journal: crashed during batch commit")
+					p.err = crashed
 					p.finished = true
 					close(p.done)
 				}

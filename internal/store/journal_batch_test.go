@@ -323,3 +323,54 @@ func TestJournalBatchCrashFailsWaiters(t *testing.T) {
 	}
 	_ = j.close()
 }
+
+// TestJournalCrashedLeaderReleasesQueue pins the group-commit hang: a
+// leader that dies inside writeBatch must not leave records queued
+// behind its batch (nor later appends) waiting for a leader that is
+// gone. Per-op batching makes the shape deterministic: the leader
+// commits only the head of a two-record queue and crashes on the torn
+// write, so the second follower is still queued when it dies.
+func TestJournalCrashedLeaderReleasesQueue(t *testing.T) {
+	path := journalPath(t)
+	crasher := chaos.NewCrasher()
+	j, err := createJournal(path, 0, crasher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.perOp = true
+	crasher.Arm("journal.append.torn", 1)
+
+	const followers = 2
+	stallLeader(j)
+	errs := make(chan error, followers+1)
+	for i := 0; i < followers; i++ {
+		go func(i int) {
+			_, err := j.append(recFailNodes, failRecord{Nodes: []int{i}})
+			errs <- err
+		}(i)
+	}
+	waitQueued(t, j, followers)
+	releaseLeader(j)
+	if crasher.Run(func() {
+		_, _ = j.append(recFailNodes, failRecord{Nodes: []int{followers}})
+	}) == nil {
+		t.Fatal("leader append did not crash")
+	}
+	// An append arriving after the crash must fail too: the journal may
+	// end in a torn record, so nothing written after it is readable.
+	go func() {
+		_, err := j.append(recFailNodes, failRecord{Nodes: []int{followers + 1}})
+		errs <- err
+	}()
+	for i := 0; i < followers+1; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("append acknowledged after the leader crashed mid-commit")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("append hung after the batch leader crashed")
+		}
+	}
+	_ = j.close()
+}

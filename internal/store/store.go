@@ -140,9 +140,9 @@ type Store struct {
 	io         chaos.NodeIO
 	plainIO    bool
 	extBackend bool
-	retry   RetryPolicy
-	health  *healthTracker
-	metrics storeMetrics
+	retry      RetryPolicy
+	health     *healthTracker
+	metrics    storeMetrics
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
