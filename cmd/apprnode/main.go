@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"approxcode/internal/colstore"
 	netio "approxcode/internal/net"
 	"approxcode/internal/obs"
 )
@@ -174,7 +175,7 @@ func runData(args []string) error {
 		return fmt.Errorf("-dir is required")
 	}
 
-	backend, err := netio.NewFileBackend(*dir)
+	backend, err := colstore.NewFileBackend(*dir)
 	if err != nil {
 		return err
 	}

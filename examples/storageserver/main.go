@@ -338,28 +338,26 @@ func run() error {
 	// tracker, so one manager tick classifies "clip" hot, migrates it to
 	// replicated redundancy (journaled migrate-begin/commit, crash-safe),
 	// and repeated segment reads then come from the decoded-GOP cache
-	// without touching NodeIO. Skipped with -master: migration requires
-	// the built-in node backend.
-	if *masterFlag == "" {
-		mgr := &tier.Manager{
-			Tracker: tracker,
-			Policy:  tier.Policy{MaxHot: 1, HotMinRate: 1},
-			Store:   st,
-			OnError: func(name string, to tier.Level, err error) {
-				log.Printf("tier: migrate %s to %s: %v", name, to, err)
-			},
-		}
-		migrated := mgr.Tick()
-		lvl, _ := st.ObjectTier("clip")
-		for i := 0; i < 4; i++ {
-			if _, err := st.GetSegment("clip", segs[0].ID); err != nil {
-				return err
-			}
-		}
-		ts := st.Stats()
-		fmt.Printf("tiering: %d migration(s), clip is %s (%d promotions); cache hits=%d misses=%d\n",
-			migrated, lvl, ts.TierPromotions, ts.CacheHits, ts.CacheMisses)
+	// without touching NodeIO. With -master the migration writes the
+	// replicas to the remote DataNodes.
+	mgr := &tier.Manager{
+		Tracker: tracker,
+		Policy:  tier.Policy{MaxHot: 1, HotMinRate: 1},
+		Store:   st,
+		OnError: func(name string, to tier.Level, err error) {
+			log.Printf("tier: migrate %s to %s: %v", name, to, err)
+		},
 	}
+	migrated := mgr.Tick()
+	lvl, _ := st.ObjectTier("clip")
+	for i := 0; i < 4; i++ {
+		if _, err := st.GetSegment("clip", segs[0].ID); err != nil {
+			return err
+		}
+	}
+	ts := st.Stats()
+	fmt.Printf("tiering: %d migration(s), clip is %s (%d promotions); cache hits=%d misses=%d\n",
+		migrated, lvl, ts.TierPromotions, ts.CacheHits, ts.CacheMisses)
 
 	final := st.Stats()
 	fmt.Printf("telemetry: retries=%d hedges=%d read-errors=%d checksum-failures=%d shards-healed=%d\n",

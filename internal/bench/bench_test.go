@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"approxcode/internal/core"
+	"approxcode/internal/erasure"
 )
 
 // fastTiming keeps harness tests quick.
@@ -172,11 +173,84 @@ func TestFig8Validity(t *testing.T) {
 	}
 }
 
+// apprWork averages a deterministic work measure of APPR.RS(k,1,2,h)
+// over the Even and Uneven structures, as the figures average their
+// timings.
+func apprWork(t *testing.T, k, h int, work func(erasure.Coder) float64) float64 {
+	t.Helper()
+	var sum float64
+	for _, st := range []core.Structure{core.Even, core.Uneven} {
+		c, err := BuildAppr(core.FamilyRS, k, h, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += work(c)
+	}
+	return sum / 2
+}
+
+// parityPerData is the parity bytes one encode produces per data byte.
+func parityPerData(c erasure.Coder) float64 {
+	return float64(c.TotalShards()-c.DataShards()) / float64(c.DataShards())
+}
+
+// decodeMoved reconstructs one stripe after a double failure and
+// returns the bytes the decode moves — survivor bytes read plus bytes
+// rebuilt — per failed byte. The Approximate Code reports both counts;
+// a baseline MDS decode reads DataShards survivors and rebuilds every
+// failed column.
+func decodeMoved(t *testing.T, c erasure.Coder) float64 {
+	t.Helper()
+	failed := FailureNodes(c, 2)
+	size := AlignSize(16*1024, c.ShardSizeMultiple())
+	stripe, err := erasure.RandomStripe(c, size, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range failed {
+		stripe[f] = nil
+	}
+	failedBytes := float64(len(failed) * size)
+	if appr, ok := c.(*core.Code); ok {
+		rep, err := appr.ReconstructReport(stripe, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(rep.BytesRead+rep.BytesRebuilt) / failedBytes
+	}
+	if err := c.Reconstruct(stripe); err != nil {
+		t.Fatal(err)
+	}
+	return (float64(c.DataShards()*size) + failedBytes) / failedBytes
+}
+
+// checkWorkShape asserts, at every valid k of every APPR series, that
+// the Approximate Code's deterministic work is below frac of the
+// baseline's, and logs the figure's wall-time ratio. Wall time does not
+// gate: it compares sub-millisecond timings on a shared host.
+func checkWorkShape(t *testing.T, fig Figure, frac float64, work func(erasure.Coder) float64) {
+	t.Helper()
+	for si, s := range fig.Series[1:] {
+		h := PaperHs[si]
+		for i, p := range s.Points {
+			base := fig.Series[0].Points[i]
+			if !p.Valid || !base.Valid {
+				continue
+			}
+			bc, err := BuildBaseline(core.FamilyRS, p.K, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bw, aw := work(bc), apprWork(t, p.K, h, work)
+			if aw >= frac*bw {
+				t.Errorf("%s k=%d: work %.3f, baseline %.3f: not below %.2fx", s.Name, p.K, aw, bw, frac)
+			}
+			t.Logf("%s k=%d: work %.3f vs baseline %.3f, wall-time ratio %.2f", s.Name, p.K, aw, bw, p.Value/base.Value)
+		}
+	}
+}
+
 func TestFigEncodingShape(t *testing.T) {
-	// Shards must be large enough that GF arithmetic, not per-codeword
-	// setup, dominates: with the SIMD kernels the arithmetic on tiny
-	// shards finishes in microseconds and fixed overhead hides the
-	// fewer-parities advantage being asserted.
 	fig, err := FigEncoding(core.FamilyRS, TimingConfig{ShardSize: 128 * 1024, Iters: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -184,44 +258,20 @@ func TestFigEncodingShape(t *testing.T) {
 	if len(fig.Series) != 3 { // baseline + h=4 + h=6
 		t.Fatalf("want 3 series, got %d", len(fig.Series))
 	}
-	// The Approximate Codes generate fewer parities and must encode
-	// faster at every k (generous slack for timer noise at tiny sizes).
-	slower := 0
-	for i := range PaperKs {
-		base := fig.Series[0].Points[i].Value
-		a4 := fig.Series[1].Points[i].Value
-		if a4 > base {
-			slower++
-		}
-	}
-	if slower > 2 {
-		t.Fatalf("APPR.RS slower than RS at %d of %d points", slower, len(PaperKs))
-	}
+	// The Approximate Codes generate fewer parities: every encode must
+	// produce fewer parity bytes per data byte than the baseline's.
+	checkWorkShape(t, fig, 1, parityPerData)
 }
 
 func TestFigDecodingDoubleFailuresFaster(t *testing.T) {
-	// Large-enough shards and a few iterations keep timer noise (and
-	// parallel-test interference) below the ~4x signal we assert on. The
-	// shards must also be big enough that GF arithmetic, not per-codeword
-	// setup, dominates — the SIMD kernels make the arithmetic fast enough
-	// that smaller shards drown the signal in fixed overhead.
 	fig, err := FigDecoding(core.FamilyRS, 2, TimingConfig{ShardSize: 256 * 1024, Iters: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slower := 0
-	for i := range PaperKs {
-		base := fig.Series[0].Points[i].Value
-		a4 := fig.Series[1].Points[i].Value
-		if a4 > base/2 {
-			slower++
-		}
-	}
 	// Under double failures the Approximate Code skips unimportant
-	// sub-stripes: expect large wins nearly everywhere.
-	if slower > 2 {
-		t.Fatalf("APPR.RS decode not clearly faster at %d points", slower)
-	}
+	// sub-stripes: its decode must move less than half the bytes the
+	// baseline's does.
+	checkWorkShape(t, fig, 0.5, func(c erasure.Coder) float64 { return decodeMoved(t, c) })
 }
 
 func TestFig13ShapesAndSpeedups(t *testing.T) {

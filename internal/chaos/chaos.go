@@ -42,6 +42,12 @@ var (
 	// package — so every backend (in-memory, disk, network) reports the
 	// condition with one sentinel.
 	ErrColumnMissing = errors.New("chaos: column missing")
+	// ErrInvalid marks a malformed NodeIO request: a node index a
+	// backend cannot hold, or a ReadColumnAt range outside the column.
+	// It is the root of the stack's invalid-argument sentinels:
+	// store.ErrInvalid and netio.ErrInvalid wrap it, so one errors.Is
+	// check matches the answer of every backend, local or remote.
+	ErrInvalid = errors.New("invalid argument")
 )
 
 // OpKind classifies a node I/O operation.
@@ -84,8 +90,9 @@ type Op struct {
 }
 
 // NodeIO is the I/O surface between the storage layer and one set of
-// (simulated) DataNodes. The store's in-memory nodes implement it; the
-// Injector wraps any implementation with fault injection.
+// (simulated) DataNodes. The backends in internal/colstore implement
+// it, and so does a netio.Client; the Injector wraps any
+// implementation with fault injection.
 //
 // Buffer ownership is the same for every implementation, local or
 // remote:
@@ -98,6 +105,10 @@ type Op struct {
 // Callers rely on both halves: the store recycles its encoded column
 // buffers (colPool) once the writes return, and a netio DataNode
 // recycles its pooled request frames once WriteColumn returns.
+//
+// A zero-length WriteColumn deletes the column: a later read of it
+// fails with ErrColumnMissing, exactly like a column never written.
+// Tier demotions retire replicas and global parity this way.
 type NodeIO interface {
 	// ReadColumn returns the stored column of (object, stripe) on the
 	// node in a buffer the caller owns, or an error.

@@ -207,7 +207,7 @@ func Run(t testing.TB, sc Scenario) *Outcome {
 	}
 	out := &Outcome{Store: s, Injector: inj, Segments: segs}
 
-	out.FirstRead = checkRead(t, s, segs, sc.AllowImportantLoss, nil, "degraded read")
+	out.FirstRead = CheckRead(t, s, "video", segs, sc.AllowImportantLoss, nil, "degraded read")
 
 	if sc.ClearBeforeRepair {
 		inj.ClearAll()
@@ -229,16 +229,17 @@ func Run(t testing.TB, sc Scenario) *Outcome {
 	for _, id := range out.Repair.LostSegments["video"] {
 		repairLost[id] = true
 	}
-	out.FinalRead = checkRead(t, s, segs, sc.AllowImportantLoss, repairLost, "final read")
+	out.FinalRead = CheckRead(t, s, "video", segs, sc.AllowImportantLoss, repairLost, "final read")
 	return out
 }
 
-// checkRead performs a Get and enforces the exact-or-flagged contract.
-// flagged is the set of segment IDs an earlier phase already reported
-// lost (so zero-filled bytes are acceptable without fresh flags).
-func checkRead(t testing.TB, s *store.Store, want []store.Segment, allowImportantLoss bool, flagged map[int]bool, phase string) *store.GetReport {
+// CheckRead performs a Get of the named object and enforces the
+// exact-or-flagged contract against want. flagged is the set of
+// segment IDs an earlier phase already reported lost (so zero-filled
+// bytes are acceptable without fresh flags).
+func CheckRead(t testing.TB, s *store.Store, name string, want []store.Segment, allowImportantLoss bool, flagged map[int]bool, phase string) *store.GetReport {
 	t.Helper()
-	got, rep, err := s.Get("video")
+	got, rep, err := s.Get(name)
 	if err != nil {
 		t.Fatalf("chaostest: %s: %v", phase, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
@@ -549,6 +550,11 @@ func (c *Client) ReadColumnCtx(ctx context.Context, node int, object string, str
 // ReadColumnAtCtx implements chaos.CtxIO. The returned range is a
 // fresh buffer the caller owns.
 func (c *Client) ReadColumnAtCtx(ctx context.Context, node int, object string, stripe, off, n int) ([]byte, error) {
+	// The wire carries off and n as uint32; refuse what would truncate
+	// into a different, valid-looking range.
+	if off < 0 || n < 0 || uint64(off) > math.MaxUint32 || uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d", ErrInvalid, n, off)
+	}
 	return c.do(ctx, node, request{hdr: encodeReadAtReq(node, object, stripe, off, n)}, true, &c.m.readAt)
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"approxcode/internal/chaos"
 	"approxcode/internal/core"
 	"approxcode/internal/store"
 )
@@ -323,47 +322,6 @@ func TestPartitionHeartbeatPath(t *testing.T) {
 	})
 	if rec.count() != 1 {
 		t.Fatalf("healing re-triggered repair: %d events", rec.count())
-	}
-}
-
-// TestFileBackend exercises the disk-backed DataNode storage including
-// restart persistence.
-func TestFileBackend(t *testing.T) {
-	dir := t.TempDir()
-	fb, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatalf("NewFileBackend: %v", err)
-	}
-	if _, err := fb.ReadColumn(1, "video/a", 0); !errors.Is(err, chaos.ErrColumnMissing) {
-		t.Fatalf("missing column: %v", err)
-	}
-	col := []byte("0123456789abcdef")
-	if err := fb.WriteColumn(1, "video/a", 3, col); err != nil {
-		t.Fatalf("WriteColumn: %v", err)
-	}
-	got, err := fb.ReadColumn(1, "video/a", 3)
-	if err != nil || !bytes.Equal(got, col) {
-		t.Fatalf("ReadColumn: %q %v", got, err)
-	}
-	part, err := fb.ReadColumnAt(1, "video/a", 3, 4, 6)
-	if err != nil || string(part) != "456789" {
-		t.Fatalf("ReadColumnAt: %q %v", part, err)
-	}
-	if _, err := fb.ReadColumnAt(1, "video/a", 3, 10, 10); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("out-of-range partial read: %v", err)
-	}
-	// "Restart": a fresh backend over the same directory sees the data.
-	fb2, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	got, err = fb2.ReadColumn(1, "video/a", 3)
-	if err != nil || !bytes.Equal(got, col) {
-		t.Fatalf("after restart: %q %v", got, err)
-	}
-	nodes, err := fb2.Nodes()
-	if err != nil || len(nodes) != 1 || nodes[0] != 1 {
-		t.Fatalf("Nodes: %v %v", nodes, err)
 	}
 }
 

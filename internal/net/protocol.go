@@ -89,8 +89,10 @@ var (
 	// error, so errors.Is(err, context.DeadlineExceeded) holds where the
 	// deadline came from a context).
 	ErrTimeout = errors.New("netio: operation timed out")
-	// ErrInvalid: a malformed request or argument.
-	ErrInvalid = errors.New("netio: invalid argument")
+	// ErrInvalid: a malformed request or argument. It wraps
+	// chaos.ErrInvalid, so a backend's invalid-range answer crosses the
+	// wire and still matches the NodeIO contract's sentinel.
+	ErrInvalid = fmt.Errorf("netio: %w", chaos.ErrInvalid)
 	// ErrProtocol: a malformed or oversized frame; the connection is
 	// poisoned and must be dropped.
 	ErrProtocol = errors.New("netio: protocol error")
@@ -401,7 +403,7 @@ func encodeErrResp(err error) []byte {
 		code = codeTransient
 	case errors.Is(err, ErrTimeout):
 		code = codeTimeout
-	case errors.Is(err, ErrInvalid):
+	case errors.Is(err, chaos.ErrInvalid):
 		code = codeInvalid
 	}
 	return newEnc(msgErrResp).u8(code).str(err.Error()).b

@@ -7,11 +7,11 @@ import (
 	"sync"
 	"time"
 
-	"approxcode/internal/chaos"
+	"approxcode/internal/colstore"
 	"approxcode/internal/obs"
 )
 
-// Server is a DataNode: it exposes a chaos.NodeIO backend over the
+// Server is a DataNode: it exposes a colstore.Backend over the
 // frame protocol and, when a master is configured, maintains a
 // registration + heartbeat lease for the node indexes it serves.
 type Server struct {
@@ -36,7 +36,7 @@ type ServerConfig struct {
 	// master-directed clients through it.
 	Advertise string
 	// Backend serves the columns. Required.
-	Backend chaos.NodeIO
+	Backend colstore.Backend
 	// Nodes are the node indexes this DataNode serves; required when a
 	// Master is configured (that is what gets registered).
 	Nodes []int
@@ -229,34 +229,10 @@ func (s *Server) handleReadAt(body []byte) (hdr, data []byte) {
 		s.m.readAt.errors.Inc()
 		return encodeErrResp(d.err), nil
 	}
-	// Reject wire values that don't fit the platform int (or whose sum
-	// doesn't) before converting: on 32-bit a malformed request could
-	// otherwise wrap off+n negative, bypass the bounds check below, and
-	// panic the DataNode on the slice expression.
-	const maxInt = int64(^uint(0) >> 1)
-	if int64(offU) > maxInt || int64(nU) > maxInt || int64(offU)+int64(nU) > maxInt {
-		s.m.readAt.errors.Inc()
-		return encodeErrResp(fmt.Errorf("%w: range [%d,%d) exceeds platform limits",
-			ErrInvalid, offU, int64(offU)+int64(nU))), nil
-	}
-	off, n := int(offU), int(nU)
-	var err error
-	if pr, ok := s.cfg.Backend.(chaos.PartialReader); ok {
-		data, err = pr.ReadColumnAt(node, object, stripe, off, n)
-	} else {
-		// Backend without partial reads: read the column, slice the
-		// range server-side so only the range crosses the wire.
-		var col []byte
-		col, err = s.cfg.Backend.ReadColumn(node, object, stripe)
-		if err == nil {
-			if off < 0 || n < 0 || off+n > len(col) {
-				err = fmt.Errorf("%w: range [%d,%d) outside column of %d bytes",
-					ErrInvalid, off, off+n, len(col))
-			} else {
-				data = col[off : off+n]
-			}
-		}
-	}
+	// On 32-bit platforms a wire value above the platform int converts
+	// to a negative one, which every Backend refuses with ErrInvalid
+	// (and never sums into an overflowing off+n).
+	data, err := s.cfg.Backend.ReadColumnAt(node, object, stripe, int(offU), int(nU))
 	s.m.readAt.seconds.Observe(time.Since(t0))
 	if err != nil {
 		s.m.readAt.errors.Inc()

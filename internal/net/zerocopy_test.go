@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"approxcode/internal/chaos"
+	"approxcode/internal/colstore"
 )
 
 // benchColumn is the column size of the benchmark's store shape
@@ -20,7 +21,7 @@ const benchColumn = 48 << 10
 // client routed to it as node 0, with hedging off so every read is one
 // round trip, over one pooled connection so consecutive requests reuse
 // the server's frame buffers.
-func loopback(tb testing.TB, backend chaos.NodeIO) *Client {
+func loopback(tb testing.TB, backend colstore.Backend) *Client {
 	tb.Helper()
 	srv, err := NewServer(ServerConfig{Backend: backend})
 	if err != nil {

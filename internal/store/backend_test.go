@@ -2,70 +2,43 @@ package store
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 
-	"approxcode/internal/chaos"
+	"approxcode/internal/colstore"
 	"approxcode/internal/core"
 )
 
 // countingBackend is an external chaos.NodeIO + PartialReader: the
-// transport-agnostic wiring-point contract test. It mimics what any
-// real backend (disk, network) must provide: copy-on-boundary columns
-// keyed by (node, object, stripe) and chaos.ErrColumnMissing for absent
-// columns.
+// transport-agnostic wiring-point contract test. It is a plain
+// colstore.MemBackend handed in through Config.Backend, wrapped to
+// count the calls that reach it.
 type countingBackend struct {
-	mu                      sync.Mutex
-	cols                    map[string][]byte
-	reads, partials, writes int
+	*colstore.MemBackend
+	reads, partials, writes atomic.Int64
 }
 
 func newCountingBackend() *countingBackend {
-	return &countingBackend{cols: make(map[string][]byte)}
-}
-
-func bkey(node int, object string, stripe int) string {
-	return fmt.Sprintf("%d/%s/%d", node, object, stripe)
+	return &countingBackend{MemBackend: colstore.NewMemBackend()}
 }
 
 func (b *countingBackend) ReadColumn(node int, object string, stripe int) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.reads++
-	col, ok := b.cols[bkey(node, object, stripe)]
-	if !ok {
-		return nil, chaos.ErrColumnMissing
-	}
-	return append([]byte(nil), col...), nil
+	b.reads.Add(1)
+	return b.MemBackend.ReadColumn(node, object, stripe)
 }
 
 func (b *countingBackend) ReadColumnAt(node int, object string, stripe, off, n int) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.partials++
-	col, ok := b.cols[bkey(node, object, stripe)]
-	if !ok {
-		return nil, chaos.ErrColumnMissing
-	}
-	if off < 0 || n < 0 || off+n > len(col) {
-		return nil, fmt.Errorf("%w: bad range", ErrInvalid)
-	}
-	return append([]byte(nil), col[off:off+n]...), nil
+	b.partials.Add(1)
+	return b.MemBackend.ReadColumnAt(node, object, stripe, off, n)
 }
 
 func (b *countingBackend) WriteColumn(node int, object string, stripe int, data []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.writes++
-	b.cols[bkey(node, object, stripe)] = append([]byte(nil), data...)
-	return nil
+	b.writes.Add(1)
+	return b.MemBackend.WriteColumn(node, object, stripe, data)
 }
 
-func (b *countingBackend) counts() (reads, partials, writes int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.reads, b.partials, b.writes
+func (b *countingBackend) counts() (reads, partials, writes int64) {
+	return b.reads.Load(), b.partials.Load(), b.writes.Load()
 }
 
 func backendParams() core.Params {

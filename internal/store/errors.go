@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 
 	"approxcode/internal/chaos"
 	"approxcode/internal/core"
@@ -25,8 +26,9 @@ var (
 	ErrCorrupted = errors.New("store: data corrupted")
 	// ErrTimeout: a node operation exceeded its deadline.
 	ErrTimeout = errors.New("store: operation timed out")
-	// ErrInvalid: the caller passed an invalid argument.
-	ErrInvalid = errors.New("store: invalid argument")
+	// ErrInvalid: the caller passed an invalid argument. It wraps
+	// chaos.ErrInvalid, the NodeIO contract's sentinel.
+	ErrInvalid = fmt.Errorf("store: %w", chaos.ErrInvalid)
 	// ErrRepairActive: a repair run is already in progress; wait for it
 	// (or abort it) before starting another.
 	ErrRepairActive = errors.New("store: repair already active")

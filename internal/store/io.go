@@ -60,85 +60,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// memIO is the store's in-memory DataNode backend — the innermost
-// chaos.NodeIO that fault injectors wrap.
-type memIO struct{ s *Store }
-
-// ReadColumn returns the column stored on the node, ErrNodeUnavailable
-// for crashed nodes, or errColumnMissing when nothing was stored.
-func (m *memIO) ReadColumn(node int, object string, stripe int) ([]byte, error) {
-	if node < 0 || node >= len(m.s.nodes) {
-		return nil, fmt.Errorf("%w: node %d out of range", ErrInvalid, node)
-	}
-	nd := m.s.nodes[node]
-	nd.mu.RLock()
-	defer nd.mu.RUnlock()
-	if nd.failed {
-		return nil, fmt.Errorf("%w: node %d", ErrNodeUnavailable, node)
-	}
-	cols := nd.columns[object]
-	// Zero-length counts as missing alongside nil: a tier demotion
-	// deletes a column by storing nil, and a gob round-trip (snapshot
-	// load) may decode that nil as an empty slice.
-	if cols == nil || stripe < 0 || stripe >= len(cols) || len(cols[stripe]) == 0 {
-		return nil, errColumnMissing
-	}
-	// Copy on the boundary: returning the backing slice would let any
-	// caller-side mutation (a chaos corrupt rule, an in-place decode)
-	// silently damage the stored column.
-	return append([]byte(nil), cols[stripe]...), nil
-}
-
-// ReadColumnAt returns n bytes of the column starting at off — the
-// partial-column read behind segment-granular degraded reads. It
-// implements chaos.PartialReader so an injector wrapping this NodeIO
-// passes partial reads straight through instead of falling back to a
-// whole-column read.
-func (m *memIO) ReadColumnAt(node int, object string, stripe, off, n int) ([]byte, error) {
-	if node < 0 || node >= len(m.s.nodes) {
-		return nil, fmt.Errorf("%w: node %d out of range", ErrInvalid, node)
-	}
-	nd := m.s.nodes[node]
-	nd.mu.RLock()
-	defer nd.mu.RUnlock()
-	if nd.failed {
-		return nil, fmt.Errorf("%w: node %d", ErrNodeUnavailable, node)
-	}
-	cols := nd.columns[object]
-	if cols == nil || stripe < 0 || stripe >= len(cols) || len(cols[stripe]) == 0 {
-		return nil, errColumnMissing
-	}
-	col := cols[stripe]
-	if off < 0 || n < 0 || off+n > len(col) {
-		return nil, fmt.Errorf("%w: range [%d,%d) outside column of %d bytes",
-			ErrInvalid, off, off+n, len(col))
-	}
-	// Copy on the boundary, as for whole-column reads.
-	return append([]byte(nil), col[off:off+n]...), nil
-}
-
-// WriteColumn stores a column on the node. It intentionally ignores the
-// crash flag: repair writes provision the replacement node that
-// inherits the failed index (callers that must not write to failed
-// nodes check the flag themselves).
-func (m *memIO) WriteColumn(node int, object string, stripe int, data []byte) error {
-	if node < 0 || node >= len(m.s.nodes) {
-		return fmt.Errorf("%w: node %d out of range", ErrInvalid, node)
-	}
-	nd := m.s.nodes[node]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	cols := nd.columns[object]
-	for len(cols) <= stripe {
-		cols = append(cols, nil)
-	}
-	// Copy on the boundary: retaining the caller's buffer would alias
-	// the stored column to memory the caller may keep mutating.
-	cols[stripe] = append([]byte(nil), data...)
-	nd.columns[object] = cols
-	return nil
-}
-
 // ioResult carries one attempt's outcome; hedge marks the backup
 // attempt so hedge wins can be counted.
 type ioResult struct {
@@ -164,16 +85,8 @@ func (s *Store) jitter(d time.Duration) time.Duration {
 // stragglers, and an overall deadline. Errors are recorded against the
 // node's health state.
 func (s *Store) readColumn(node int, object string, stripe int) ([]byte, error) {
-	if s.health.state(node) == HealthFailed {
-		return nil, fmt.Errorf("%w: node %d health-failed", ErrNodeUnavailable, node)
-	}
-	if s.extBackend && s.nodeFailed(node) {
-		// The administrative fail set lives in the store; an external
-		// backend (disk, network) cannot know about it, so reads gate
-		// here. The built-in memIO checks the flag itself — after the
-		// injector has seen the op — which keeps seeded chaos schedules
-		// byte-identical to previous releases.
-		return nil, fmt.Errorf("%w: node %d administratively failed", ErrNodeUnavailable, node)
+	if err := s.readGate(node); err != nil {
+		return nil, err
 	}
 	if s.plainIO {
 		// Fast path: no injector wrapping, so the only failure modes
@@ -189,52 +102,21 @@ func (s *Store) readColumn(node int, object string, stripe int) ([]byte, error) 
 		return data, err
 	}
 	deadline := time.Now().Add(s.retry.OpDeadline)
-	backoff := s.retry.BaseBackoff
-	var lastErr error
-	for attempt := 0; attempt < s.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			d := s.jitter(backoff)
-			if time.Now().Add(d).After(deadline) {
-				break
-			}
-			time.Sleep(d)
-			backoff *= 2
-			if backoff > s.retry.MaxBackoff {
-				backoff = s.retry.MaxBackoff
-			}
-			s.metrics.retries.Inc()
-		}
-		data, err := s.attemptRead(node, object, stripe, deadline)
-		if err == nil {
-			s.health.ok(node)
-			return data, nil
-		}
-		if errors.Is(err, errColumnMissing) || errors.Is(err, ErrNodeUnavailable) {
-			// Permanent for this read: nothing stored, or the node is
-			// crashed. Not a health event and not worth retrying.
-			return nil, err
-		}
-		lastErr = err
-		s.metrics.readErrors.Inc()
-		if s.health.fail(node) == HealthFailed {
-			break
-		}
-	}
-	return nil, lastErr
+	return s.withRetry(node, deadline, readRetry, func() ([]byte, error) {
+		return s.attemptRead(node, object, stripe, deadline)
+	})
 }
 
 // readColumnAt reads a byte range of one column through the NodeIO.
-// When the I/O stack supports partial reads (memIO always does; a
-// chaos.Injector passes them through) only the requested range moves;
-// otherwise the whole column is read and sliced. Retries mirror
+// When the I/O stack supports partial reads (both colstore backends
+// and netio.Client do; a chaos.Injector passes them through) only the
+// requested range moves; otherwise the whole column is read and
+// sliced. Retries mirror
 // readColumn's policy without hedging — a partial read is already the
 // cheap path, a straggler just retries.
 func (s *Store) readColumnAt(node int, object string, stripe, off, n int) ([]byte, error) {
-	if s.health.state(node) == HealthFailed {
-		return nil, fmt.Errorf("%w: node %d health-failed", ErrNodeUnavailable, node)
-	}
-	if s.extBackend && s.nodeFailed(node) {
-		return nil, fmt.Errorf("%w: node %d administratively failed", ErrNodeUnavailable, node)
+	if err := s.readGate(node); err != nil {
+		return nil, err
 	}
 	ctx, cancelCtx := context.WithDeadline(context.Background(), time.Now().Add(s.retry.OpDeadline))
 	defer cancelCtx()
@@ -277,37 +159,7 @@ func (s *Store) readColumnAt(node int, object string, stripe, off, n int) ([]byt
 		}
 		return data, err
 	}
-	deadline := time.Now().Add(s.retry.OpDeadline)
-	backoff := s.retry.BaseBackoff
-	var lastErr error
-	for try := 0; try < s.retry.MaxAttempts; try++ {
-		if try > 0 {
-			d := s.jitter(backoff)
-			if time.Now().Add(d).After(deadline) {
-				break
-			}
-			time.Sleep(d)
-			backoff *= 2
-			if backoff > s.retry.MaxBackoff {
-				backoff = s.retry.MaxBackoff
-			}
-			s.metrics.retries.Inc()
-		}
-		data, err := attempt()
-		if err == nil {
-			s.health.ok(node)
-			return data, nil
-		}
-		if errors.Is(err, errColumnMissing) || errors.Is(err, ErrNodeUnavailable) || errors.Is(err, ErrInvalid) {
-			return nil, err
-		}
-		lastErr = err
-		s.metrics.readErrors.Inc()
-		if s.health.fail(node) == HealthFailed {
-			break
-		}
-	}
-	return nil, lastErr
+	return s.withRetry(node, time.Now().Add(s.retry.OpDeadline), readAtRetry, attempt)
 }
 
 // attemptRead performs one read attempt, optionally hedged: if the
@@ -370,38 +222,11 @@ func (s *Store) attemptRead(node int, object string, stripe int, deadline time.T
 // ErrNodeUnavailable aborts immediately — callers decide whether a
 // crashed target is acceptable.
 func (s *Store) writeColumn(node int, object string, stripe int, data []byte) error {
-	if s.plainIO {
-		t := s.metrics.nodeWrite.Start()
-		err := s.io.WriteColumn(node, object, stripe, data)
-		t.Stop()
-		s.metrics.writeAttempts.Inc()
-		if err == nil {
-			s.metrics.writeBytes.Add(int64(len(data)))
-		}
-		return err
-	}
-	deadline := time.Now().Add(s.retry.OpDeadline)
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	cio, hasCtx := s.io.(chaos.CtxIO)
-	backoff := s.retry.BaseBackoff
-	var lastErr error
-	for attempt := 0; attempt < s.retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			d := s.jitter(backoff)
-			if time.Now().Add(d).After(deadline) {
-				break
-			}
-			time.Sleep(d)
-			backoff *= 2
-			if backoff > s.retry.MaxBackoff {
-				backoff = s.retry.MaxBackoff
-			}
-			s.metrics.retries.Inc()
-		}
+	ctx := context.Background()
+	attempt := func() ([]byte, error) {
 		t := s.metrics.nodeWrite.Start()
 		var err error
-		if hasCtx {
+		if cio, ok := s.io.(chaos.CtxIO); ok {
 			err = cio.WriteColumnCtx(ctx, node, object, stripe, data)
 		} else {
 			err = s.io.WriteColumn(node, object, stripe, data)
@@ -410,14 +235,89 @@ func (s *Store) writeColumn(node int, object string, stripe int, data []byte) er
 		s.metrics.writeAttempts.Inc()
 		if err == nil {
 			s.metrics.writeBytes.Add(int64(len(data)))
-			s.health.ok(node)
-			return nil
 		}
-		if errors.Is(err, ErrNodeUnavailable) {
-			return err
+		return nil, err
+	}
+	if s.plainIO {
+		_, err := attempt()
+		return err
+	}
+	deadline := time.Now().Add(s.retry.OpDeadline)
+	var cancel context.CancelFunc
+	ctx, cancel = context.WithDeadline(ctx, deadline)
+	defer cancel()
+	_, err := s.withRetry(node, deadline, writeRetry, attempt)
+	return err
+}
+
+// retryPlan is what differs between the read and write retry loops.
+type retryPlan struct {
+	// permanent errors end the loop at once: no retry, no health event.
+	permanent []error
+	// read counts failed attempts as read errors and gives up once the
+	// node turns health-failed; a write keeps trying to its budget.
+	read bool
+}
+
+var (
+	// A whole-column read stops when nothing is stored or the node is
+	// crashed.
+	readRetry = retryPlan{permanent: []error{errColumnMissing, ErrNodeUnavailable}, read: true}
+	// A partial read also stops on a range the column cannot serve.
+	readAtRetry = retryPlan{permanent: []error{errColumnMissing, ErrNodeUnavailable, chaos.ErrInvalid}, read: true}
+	// A write stops only on a crashed node: callers decide whether a
+	// crashed target is acceptable.
+	writeRetry = retryPlan{permanent: []error{ErrNodeUnavailable}}
+)
+
+// withRetry runs attempt until it succeeds, hits a permanent error, or
+// exhausts MaxAttempts or the deadline, sleeping an exponential backoff
+// with full jitter between attempts (drawn from s.rng, so seeded runs
+// back off on the same schedule). Success and failure feed the node's
+// health state.
+func (s *Store) withRetry(node int, deadline time.Time, plan retryPlan, attempt func() ([]byte, error)) ([]byte, error) {
+	backoff := s.retry.BaseBackoff
+	var lastErr error
+	for try := 0; try < s.retry.MaxAttempts; try++ {
+		if try > 0 {
+			d := s.jitter(backoff)
+			if time.Now().Add(d).After(deadline) {
+				break
+			}
+			time.Sleep(d)
+			backoff = min(backoff*2, s.retry.MaxBackoff)
+			s.metrics.retries.Inc()
+		}
+		data, err := attempt()
+		if err == nil {
+			s.health.ok(node)
+			return data, nil
+		}
+		for _, p := range plan.permanent {
+			if errors.Is(err, p) {
+				return nil, err
+			}
 		}
 		lastErr = err
-		s.health.fail(node)
+		if plan.read {
+			s.metrics.readErrors.Inc()
+		}
+		if s.health.fail(node) == HealthFailed && plan.read {
+			break
+		}
 	}
-	return lastErr
+	return nil, lastErr
+}
+
+// readGate refuses reads of a health-failed node and of a node in the
+// administrative fail set. The fail set lives in the store, not in the
+// backend, so the gate applies to every backend alike.
+func (s *Store) readGate(node int) error {
+	if s.health.state(node) == HealthFailed {
+		return fmt.Errorf("%w: node %d health-failed", ErrNodeUnavailable, node)
+	}
+	if s.nodeFailed(node) {
+		return fmt.Errorf("%w: node %d administratively failed", ErrNodeUnavailable, node)
+	}
+	return nil
 }

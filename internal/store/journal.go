@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"approxcode/internal/chaos"
+	"approxcode/internal/colstore"
 	"approxcode/internal/obs"
 )
 
@@ -189,7 +190,7 @@ func (j *journal) lastSeq() uint64 {
 // createJournal writes a fresh journal (header only) at path,
 // atomically replacing any existing file.
 func createJournal(path string, lastSeq uint64, crash *chaos.Crasher) (*journal, error) {
-	if err := writeFileAtomic(path, journalMagic); err != nil {
+	if err := colstore.WriteFileAtomic(path, journalMagic); err != nil {
 		return nil, fmt.Errorf("store journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -381,7 +382,7 @@ func (j *journal) rotate(keepAfter uint64) error {
 		buf.Write(hdr[:])
 		buf.Write(r.Payload)
 	}
-	if err := writeFileAtomic(j.path, buf.Bytes()); err != nil {
+	if err := colstore.WriteFileAtomic(j.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("store journal: rotate: %w", err)
 	}
 	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)

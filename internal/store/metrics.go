@@ -172,7 +172,7 @@ func (s *Store) registerGauges() {
 	reg.GaugeFunc("store_objects", func() int64 {
 		return int64(s.objects.count())
 	})
-	reg.GaugeFunc("store_nodes", func() int64 { return int64(len(s.nodes)) })
+	reg.GaugeFunc("store_nodes", func() int64 { return int64(s.code.TotalShards()) })
 	reg.GaugeFunc("store_failed_nodes", func() int64 { return int64(len(s.FailedNodes())) })
 	reg.GaugeFunc("store_suspect_nodes", func() int64 {
 		suspect, _ := s.health.counts()

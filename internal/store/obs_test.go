@@ -13,12 +13,13 @@ import (
 )
 
 // TestMemIOReadAliasing is the regression test for the backing-slice
-// leak: ReadColumn used to return the stored column itself, so any
-// caller-side mutation (a chaos corrupt rule, an in-place decode)
-// silently damaged the stored data.
+// leak: the store's default in-memory backend used to return the
+// stored column itself from ReadColumn, so any caller-side mutation (a
+// chaos corrupt rule, an in-place decode) silently damaged the stored
+// data.
 func TestMemIOReadAliasing(t *testing.T) {
 	s := openWith(t, makeSegments(t, 12, 4, 41))
-	io := &memIO{s: s}
+	io := s.backend
 	col, err := io.ReadColumn(0, "video", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestMemIOReadAliasing(t *testing.T) {
 // caller may keep reusing.
 func TestMemIOWriteAliasing(t *testing.T) {
 	s := openWith(t, makeSegments(t, 12, 4, 42))
-	io := &memIO{s: s}
+	io := s.backend
 	orig, err := io.ReadColumn(0, "video", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"approxcode/internal/chaos"
+	"approxcode/internal/colstore"
 	"approxcode/internal/core"
 	"approxcode/internal/obs"
 	"approxcode/internal/place"
@@ -102,34 +103,6 @@ func nodeFile(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("node%03d.gob", i))
 }
 
-// writeFileAtomic writes data to path via a temp file in the same
-// directory plus rename, so path is always either absent, the old
-// content, or the complete new content — never a torn mix.
-func writeFileAtomic(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if serr := tmp.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmpName) // best-effort temp cleanup; werr is the real failure
-		return werr
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
 // checksummedWrite writes path as magic | crc32c(payload) | len(payload)
 // | payload — atomically, via temp + rename — so checksummedRead can
 // reject truncated or corrupted files and a crash mid-write can never
@@ -142,7 +115,7 @@ func checksummedWrite(path string, payload []byte) error {
 	buf := make([]byte, 0, len(hdr)+len(payload))
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, payload...)
-	return writeFileAtomic(path, buf)
+	return colstore.WriteFileAtomic(path, buf)
 }
 
 // checksummedRead reads a file written by checksummedWrite, returning an
@@ -271,10 +244,15 @@ func (s *Store) Save(dir string) error {
 	}
 	snap.FailedNodes = s.FailedNodes()
 
-	for i, nd := range s.nodes {
-		nd.mu.RLock()
-		payload, err := encodeGob(&nodeSnapshot{Columns: nd.columns})
-		nd.mu.RUnlock()
+	// A backend that cannot export its columns (a netio.Client) keeps
+	// them itself; its node files record no columns.
+	exporter, exports := s.backend.(nodeExporter)
+	for i := range s.failed {
+		var ns nodeSnapshot
+		if exports {
+			ns.Columns = exporter.ExportNode(i)
+		}
+		payload, err := encodeGob(&ns)
 		if err != nil {
 			return fmt.Errorf("store save: node %d: %w", i, err)
 		}
@@ -292,7 +270,7 @@ func (s *Store) Save(dir string) error {
 	}
 	s.crash("save.manifest-written")
 	// The commit point: flip CURRENT to the complete new generation.
-	if err := writeFileAtomic(filepath.Join(dir, currentFile), []byte(strconv.FormatUint(gen, 10)+"\n")); err != nil {
+	if err := colstore.WriteFileAtomic(filepath.Join(dir, currentFile), []byte(strconv.FormatUint(gen, 10)+"\n")); err != nil {
 		return fmt.Errorf("store save: current: %w", err)
 	}
 	s.crash("save.current-flipped")
@@ -326,12 +304,12 @@ func (s *Store) cleanupGenerations(dir string, gen uint64) {
 			continue
 		}
 		_ = os.Remove(manifestFileAt(dir, g))
-		for i := range s.nodes {
+		for i := range s.failed {
 			_ = os.Remove(nodeFileAt(dir, i, g))
 		}
 	}
 	_ = os.Remove(filepath.Join(dir, legacyManifestFile))
-	for i := range s.nodes {
+	for i := range s.failed {
 		_ = os.Remove(nodeFile(dir, i))
 	}
 }
@@ -495,7 +473,11 @@ func loadAndReplay(dir string, opts LoadOptions) (*Store, *RecoverReport, error)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return nil, nil, fmt.Errorf("store load: manifest: %w: %v", ErrCorrupted, err)
 	}
+	// A loaded store always runs on a fresh in-memory backend, filled
+	// from the snapshot's node files below.
+	mem := colstore.NewMemBackend()
 	s, err := Open(Config{
+		Backend:             mem,
 		Code:                snap.Params,
 		NodeSize:            snap.NodeSize,
 		EncodeWorkers:       snap.EncodeWorkers,
@@ -537,7 +519,7 @@ func loadAndReplay(dir string, opts LoadOptions) (*Store, *RecoverReport, error)
 		}
 		return nodeFile(dir, i)
 	}
-	for i := range s.nodes {
+	for i := range s.failed {
 		if failedSet[i] {
 			failed = append(failed, i)
 			continue
@@ -567,8 +549,14 @@ func loadAndReplay(dir string, opts LoadOptions) (*Store, *RecoverReport, error)
 			rep.DemotedNodes = append(rep.DemotedNodes, i)
 			continue
 		}
-		if ns.Columns != nil {
-			s.nodes[i].columns = ns.Columns
+		for object, cols := range ns.Columns {
+			for stripe, col := range cols {
+				// Zero-length entries are deleted columns: writing them
+				// is a no-op delete.
+				if err := mem.WriteColumn(i, object, stripe, col); err != nil {
+					return nil, nil, fmt.Errorf("store load: node %d: %w", i, err)
+				}
+			}
 		}
 	}
 	if len(failed) > 0 {
@@ -747,10 +735,10 @@ func (s *Store) applyRepairStripe(sr repairStripeRecord) {
 	sums := make(map[int]uint32, len(sr.Cols))
 	subSums := make(map[int][]uint32, len(sr.Cols))
 	for ni, col := range sr.Cols {
-		if ni < 0 || ni >= len(s.nodes) {
+		if ni < 0 || ni >= s.code.TotalShards() {
 			continue
 		}
-		// memIO ignores the crash flag (repair provisions replacement
+		// Writes ignore the crash flag (repair provisions replacement
 		// nodes under the failed index), so replay lands the bytes even
 		// though the node stays failed until the done record.
 		if err := s.writeColumn(ni, sr.Object, sr.Stripe, col); err != nil {
@@ -761,6 +749,6 @@ func (s *Store) applyRepairStripe(sr repairStripeRecord) {
 			subSums[ni] = subColSums(col, s.cfg.Code.H)
 		}
 	}
-	obj.setSums(sr.Stripe, len(s.nodes), sums)
-	obj.setSubSums(sr.Stripe, len(s.nodes), subSums)
+	obj.setSums(sr.Stripe, s.code.TotalShards(), sums)
+	obj.setSubSums(sr.Stripe, s.code.TotalShards(), subSums)
 }

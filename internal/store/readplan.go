@@ -61,10 +61,10 @@ func (s *Store) readStripeForGet(obj *object, stripe int, exts []extent, rep *Ge
 // out of survivors — and the caller takes the full-stripe rung.
 func (s *Store) readStripePlanned(obj *object, stripe int, exts []extent) (sr *stripeRead, demotes int, ok bool) {
 	failed := s.FailedNodes()
-	cols := make([][]byte, len(s.nodes))
+	cols := make([][]byte, s.code.TotalShards())
 	sums := obj.sumsRow(stripe)
 	read := make(map[int]bool)
-	for tries := 0; tries <= len(s.nodes); tries++ {
+	for tries := 0; tries <= s.code.TotalShards(); tries++ {
 		erased := make(map[int]bool, len(failed))
 		for _, f := range failed {
 			erased[f] = true
@@ -80,7 +80,7 @@ func (s *Store) readStripePlanned(obj *object, stripe int, exts []extent) (sr *s
 			}
 		}
 		widen := false
-		for ni := 0; ni < len(s.nodes); ni++ {
+		for ni := 0; ni < s.code.TotalShards(); ni++ {
 			if !need[ni] || read[ni] || erased[ni] {
 				continue
 			}
@@ -224,7 +224,7 @@ func (s *Store) getSegmentFast(name string, id int) (seg Segment, done bool, err
 	for _, e := range exts {
 		var block []byte
 		solved := false
-		for tries := 0; tries <= len(s.nodes) && !solved; tries++ {
+		for tries := 0; tries <= s.code.TotalShards() && !solved; tries++ {
 			plan, perr := s.code.PlanSubBlockRead(e.node, e.row, erased)
 			if perr != nil {
 				return Segment{}, false, nil
@@ -301,10 +301,10 @@ func (s *Store) reconstructForHeal(cols [][]byte, demoted []int) (*core.Report, 
 func (r *Repair) plannedRepairRead(j repairJob) (cols [][]byte, demoted []int, rr *core.Report, readBytes int64) {
 	s := r.s
 	targets := append([]int(nil), r.failedSet...)
-	cols = make([][]byte, len(s.nodes))
+	cols = make([][]byte, s.code.TotalShards())
 	sums := j.obj.sumsRow(j.stripe)
 	read := make(map[int]bool)
-	for tries := 0; tries <= len(s.nodes); tries++ {
+	for tries := 0; tries <= s.code.TotalShards(); tries++ {
 		plan, err := s.code.PlanRead(targets)
 		if err != nil {
 			return nil, demoted, nil, readBytes

@@ -53,7 +53,7 @@ func TestGetSegmentMovesOnlyPlannedBytes(t *testing.T) {
 		t.Fatal("fast path issued no partial reads")
 	}
 	moved := readBytes.Value() - bBefore
-	fullStripe := int64(s.cfg.NodeSize) * int64(len(s.nodes))
+	fullStripe := int64(s.cfg.NodeSize) * int64(s.code.TotalShards())
 	if moved == 0 {
 		t.Fatal("no bytes accounted for the segment read")
 	}
@@ -102,7 +102,7 @@ func TestGetSegmentDegradedStaysMinimal(t *testing.T) {
 		t.Fatal("degraded read never decoded a sub-block")
 	}
 	moved := readBytes.Value() - bBefore
-	fullObject := int64(s.cfg.NodeSize) * int64(len(s.nodes)) * int64(obj.stripes)
+	fullObject := int64(s.cfg.NodeSize) * int64(s.code.TotalShards()) * int64(obj.stripes)
 	if moved >= fullObject {
 		t.Fatalf("degraded GetSegment read the whole object (%d bytes)", moved)
 	}
@@ -134,7 +134,7 @@ func TestRepairReadsFewerBytesThanFullStripe(t *testing.T) {
 	if got := reg.Counter("store_repair_read_bytes_total").Value(); got != rep.BytesRead {
 		t.Fatalf("counter %d != report BytesRead %d", got, rep.BytesRead)
 	}
-	fullSurvivors := int64(s.cfg.NodeSize) * int64(len(s.nodes)-1) * int64(obj.stripes)
+	fullSurvivors := int64(s.cfg.NodeSize) * int64(s.code.TotalShards()-1) * int64(obj.stripes)
 	if rep.BytesRead >= fullSurvivors {
 		t.Fatalf("planned repair read %d bytes, full-stripe baseline is %d", rep.BytesRead, fullSurvivors)
 	}

@@ -609,7 +609,7 @@ func (r *Repair) repairStripe(j repairJob) {
 	sums := make(map[int]uint32)
 	subs := make(map[int][]uint32)
 	var writeBytes int64
-	for ni := range s.nodes {
+	for ni := range s.failed {
 		col := cols[ni]
 		if p, ok := reencoded[ni]; ok {
 			col = p
@@ -673,8 +673,8 @@ func (r *Repair) repairStripe(j repairJob) {
 			}
 			healed++
 		}
-		j.obj.setSums(j.stripe, len(s.nodes), sums)
-		j.obj.setSubSums(j.stripe, len(s.nodes), subs)
+		j.obj.setSums(j.stripe, s.code.TotalShards(), sums)
+		j.obj.setSubSums(j.stripe, s.code.TotalShards(), subs)
 		s.lastCkpt.Store(time.Now().UnixNano())
 		s.metrics.repairCheckpoints.Inc()
 		s.metrics.shardsHealed.Add(int64(healed))

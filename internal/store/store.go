@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"approxcode/internal/chaos"
+	"approxcode/internal/colstore"
 	"approxcode/internal/core"
 	"approxcode/internal/obs"
 	"approxcode/internal/place"
@@ -57,17 +58,18 @@ type Config struct {
 	// Health tunes the per-node healthy → suspect → failed state
 	// machine. Zero values pick sane defaults.
 	Health HealthPolicy
-	// Backend, when set, is the NodeIO the store performs all column
-	// I/O against — the transport-agnostic wiring point for per-node
-	// backends (a netio.Client for networked DataNodes, a disk-backed
-	// NodeIO, anything satisfying the interface). Nil uses the built-in
-	// in-memory nodes. With an external backend the store's node structs
-	// hold only administrative state (the FailNodes set); column bytes,
-	// Save snapshots, and Stats.StoredBytes accounting live with the
-	// backend. Backends that run their own retry/hedge/health machinery
-	// at the network edge (netio.Client does) should be used without
-	// WrapIO so the store takes its single-attempt path instead of
-	// stacking a second retry loop on top.
+	// Backend is the NodeIO that owns the column bytes; the store
+	// performs all column I/O against it and keeps only metadata and
+	// the administrative fail set. Nil uses a fresh in-memory
+	// colstore.MemBackend; a netio.Client puts the columns on networked
+	// DataNodes. Optional capabilities (nodeDropper, byteCounter,
+	// nodeExporter) let FailNodes wipe a crashed node, Stats count
+	// stored bytes and Save snapshot the columns; a backend without
+	// them keeps its bytes to itself.
+	// Backends that run their own retry/hedge/health machinery at the
+	// network edge (netio.Client does) should be used without WrapIO so
+	// the store takes its single-attempt path instead of stacking a
+	// second retry loop on top.
 	Backend chaos.NodeIO
 	// WrapIO, when set, wraps the store's node I/O — the fault-injection
 	// hook (pass a chaos.Injector's Wrap method). With no wrapper the
@@ -125,24 +127,36 @@ type Config struct {
 	AllowUnsafePlacement bool
 }
 
+// Optional backend capabilities beyond chaos.NodeIO, each found by type
+// assertion at its one caller; colstore.MemBackend has all three.
+type (
+	// nodeDropper wipes a crashed node's columns (FailNodes).
+	nodeDropper interface{ DropNode(node int) }
+	// byteCounter counts the column bytes held (Stats.StoredBytes).
+	byteCounter interface{ StoredBytes() int64 }
+	// nodeExporter returns a node's columns in the snapshot's
+	// map[object][stripe] shape (Save).
+	nodeExporter interface {
+		ExportNode(node int) map[string][][]byte
+	}
+)
+
 // Store is a concurrent approximate storage layer. All exported methods
 // are safe for concurrent use.
 type Store struct {
 	cfg  Config
 	code *core.Code
 
-	// io is the node I/O stack: the configured backend (memIO by
-	// default) at the bottom, optionally wrapped by a fault injector.
-	// plainIO marks the unwrapped case so hot paths can skip the
-	// retry/hedging goroutines; extBackend marks a caller-provided
-	// backend, whose reads the store gates on its administrative fail
-	// set (the built-in memIO checks the flag itself).
-	io         chaos.NodeIO
-	plainIO    bool
-	extBackend bool
-	retry      RetryPolicy
-	health     *healthTracker
-	metrics    storeMetrics
+	// backend owns the column bytes; io is the node I/O stack over it,
+	// optionally wrapped by a fault injector. plainIO marks the
+	// unwrapped case so hot paths can skip the retry/hedging
+	// goroutines.
+	backend chaos.NodeIO
+	io      chaos.NodeIO
+	plainIO bool
+	retry   RetryPolicy
+	health  *healthTracker
+	metrics storeMetrics
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -158,7 +172,7 @@ type Store struct {
 	// them one unit), Save holds the write lock so its snapshot agrees
 	// exactly with the journal sequence it records. Lock order:
 	// quiesce before failMu before objectShard.mu before
-	// object.updateMu before object.sumsMu before node.mu.
+	// object.updateMu before object.sumsMu.
 	quiesce sync.RWMutex
 
 	// admit is the admission controller (nil = unlimited); colBufs
@@ -195,7 +209,10 @@ type Store struct {
 	lastCkpt atomic.Int64
 	crasher  *chaos.Crasher
 
-	nodes []*node
+	// failed holds one administrative crash flag per node (FailNodes
+	// sets it, a completed repair clears it). Reads of a failed node
+	// are refused before they reach the I/O stack.
+	failed []atomic.Bool
 	// objects is the sharded object directory (see shardmap.go): name
 	// lookups and publishes stripe over 64 locks so Put/Get on
 	// different objects never serialize on one mutex.
@@ -209,13 +226,6 @@ type Store struct {
 	topo         *place.Topology
 	topoExplicit bool
 	topoReport   *place.Report
-}
-
-type node struct {
-	mu     sync.RWMutex
-	failed bool
-	// columns[object][stripe] is this node's column of that stripe.
-	columns map[string][][]byte
 }
 
 type extent struct {
@@ -373,16 +383,13 @@ func Open(cfg Config) (*Store, error) {
 		seed = 1
 	}
 	s.rng = rand.New(rand.NewSource(seed))
-	for i := 0; i < code.TotalShards(); i++ {
-		s.nodes = append(s.nodes, &node{columns: make(map[string][][]byte)})
+	s.failed = make([]atomic.Bool, code.TotalShards())
+	s.health = newHealthTracker(code.TotalShards(), cfg.Health)
+	s.backend = cfg.Backend
+	if s.backend == nil {
+		s.backend = colstore.NewMemBackend()
 	}
-	s.health = newHealthTracker(len(s.nodes), cfg.Health)
-	if cfg.Backend != nil {
-		s.io = cfg.Backend
-		s.extBackend = true
-	} else {
-		s.io = &memIO{s: s}
-	}
+	s.io = s.backend
 	if cfg.WrapIO != nil {
 		s.io = cfg.WrapIO(s.io)
 	} else {
@@ -461,12 +468,7 @@ func (s *Store) lastSeq() uint64 {
 func (s *Store) Close() error { return s.jn.close() }
 
 // nodeFailed reports the node's crash flag.
-func (s *Store) nodeFailed(i int) bool {
-	nd := s.nodes[i]
-	nd.mu.RLock()
-	defer nd.mu.RUnlock()
-	return nd.failed
-}
+func (s *Store) nodeFailed(i int) bool { return s.failed[i].Load() }
 
 // Code returns the store's generated Approximate Code.
 func (s *Store) Code() *core.Code { return s.code }
@@ -804,9 +806,9 @@ func (s *Store) encodeStripes(cols [][][]byte) error {
 // returned set, listed in demoted — so the decode machinery heals
 // around them exactly as it does around crashed nodes.
 func (s *Store) readStripe(obj *object, stripe int) (cols [][]byte, demoted []int) {
-	cols = make([][]byte, len(s.nodes))
+	cols = make([][]byte, s.code.TotalShards())
 	sums := obj.sumsRow(stripe)
-	for ni := range s.nodes {
+	for ni := range s.failed {
 		data, err := s.readColumn(ni, obj.name, stripe)
 		if err != nil {
 			if errors.Is(err, errColumnMissing) || errors.Is(err, ErrNodeUnavailable) {
@@ -1008,7 +1010,7 @@ func (s *Store) GetSegment(name string, id int) (Segment, error) {
 // set survives a crash and repair never resurrects wiped data.
 func (s *Store) FailNodes(ids ...int) error {
 	for _, id := range ids {
-		if id < 0 || id >= len(s.nodes) {
+		if id < 0 || id >= len(s.failed) {
 			return fmt.Errorf("%w: node %d out of range", ErrInvalid, id)
 		}
 	}
@@ -1033,27 +1035,25 @@ func (s *Store) applyFailNodes(ids []int) {
 	// must stay valid until their copy-on-write swap has landed.
 	s.failMu.Lock()
 	defer s.failMu.Unlock()
+	dropper, wipes := s.backend.(nodeDropper)
 	for _, id := range ids {
-		if id < 0 || id >= len(s.nodes) {
+		if id < 0 || id >= len(s.failed) {
 			continue
 		}
-		nd := s.nodes[id]
-		nd.mu.Lock()
-		nd.failed = true
-		nd.columns = make(map[string][][]byte)
-		nd.mu.Unlock()
+		s.failed[id].Store(true)
+		if wipes {
+			dropper.DropNode(id)
+		}
 	}
 }
 
 // FailedNodes lists the currently failed node indexes.
 func (s *Store) FailedNodes() []int {
 	var out []int
-	for i, nd := range s.nodes {
-		nd.mu.RLock()
-		if nd.failed {
+	for i := range s.failed {
+		if s.failed[i].Load() {
 			out = append(out, i)
 		}
-		nd.mu.RUnlock()
 	}
 	return out
 }
@@ -1061,10 +1061,7 @@ func (s *Store) FailedNodes() []int {
 // unfailNode clears a node's crash flag and health history (it has just
 // been re-provisioned).
 func (s *Store) unfailNode(ni int) {
-	nd := s.nodes[ni]
-	nd.mu.Lock()
-	nd.failed = false
-	nd.mu.Unlock()
+	s.failed[ni].Store(false)
 	s.health.reset(ni)
 }
 
@@ -1218,8 +1215,8 @@ func (s *Store) Scrub() (*ScrubReport, error) {
 							sums[ni] = colSum(cols[ni])
 							subUp[ni] = subColSums(cols[ni], s.cfg.Code.H)
 						}
-						j.obj.setSums(j.stripe, len(s.nodes), sums)
-						j.obj.setSubSums(j.stripe, len(s.nodes), subUp)
+						j.obj.setSums(j.stripe, s.code.TotalShards(), sums)
+						j.obj.setSubSums(j.stripe, s.code.TotalShards(), subUp)
 						healedNow = len(sums)
 					}
 					j.obj.updateMu.Unlock()
@@ -1274,23 +1271,25 @@ func dedupeSorted(s []string) []string {
 }
 
 // CorruptByte flips one byte of an object's stored column — test and
-// demo hook for the scrubber.
+// demo hook for the scrubber. It reads, flips and writes the column
+// back through the backend itself, beneath any fault injector, so it
+// damages the stored bytes of every backend alike.
 func (s *Store) CorruptByte(name string, stripe, nodeIdx, offset int) error {
-	if nodeIdx < 0 || nodeIdx >= len(s.nodes) {
+	if nodeIdx < 0 || nodeIdx >= len(s.failed) {
 		return fmt.Errorf("store: node %d out of range", nodeIdx)
 	}
-	nd := s.nodes[nodeIdx]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	cols := nd.columns[name]
-	if cols == nil || stripe >= len(cols) || cols[stripe] == nil {
+	col, err := s.backend.ReadColumn(nodeIdx, name, stripe)
+	if errors.Is(err, errColumnMissing) {
 		return fmt.Errorf("%w: %s/%d on node %d", ErrNotFound, name, stripe, nodeIdx)
 	}
-	if offset < 0 || offset >= len(cols[stripe]) {
+	if err != nil {
+		return fmt.Errorf("store: corrupt byte: %w", err)
+	}
+	if offset < 0 || offset >= len(col) {
 		return fmt.Errorf("store: offset %d out of range", offset)
 	}
-	cols[stripe][offset] ^= 0xFF
-	return nil
+	col[offset] ^= 0xFF
+	return s.backend.WriteColumn(nodeIdx, name, stripe, col)
 }
 
 // Objects lists stored object names.
@@ -1347,18 +1346,10 @@ type Stats struct {
 
 // Stats returns current store statistics.
 func (s *Store) Stats() Stats {
-	st := Stats{Nodes: len(s.nodes), Objects: s.objects.count()}
-	for _, nd := range s.nodes {
-		nd.mu.RLock()
-		if nd.failed {
-			st.FailedNodes++
-		}
-		for _, cols := range nd.columns {
-			for _, c := range cols {
-				st.StoredBytes += int64(len(c))
-			}
-		}
-		nd.mu.RUnlock()
+	st := Stats{Nodes: len(s.failed), Objects: s.objects.count()}
+	st.FailedNodes = len(s.FailedNodes())
+	if bc, ok := s.backend.(byteCounter); ok {
+		st.StoredBytes = bc.StoredBytes()
 	}
 	st.SuspectNodes, st.DownNodes = s.health.counts()
 	// Thin view over the obs registry: each field is one atomic load of

@@ -36,8 +36,8 @@ import (
 
 // repSuffix extends an object's name into the shadow key its hot-tier
 // replica columns are stored under. NUL cannot appear in user-facing
-// names that matter here (the key never leaves node.columns), so the
-// shadow namespace cannot collide with a real object.
+// names that matter here (the key only ever names backend columns), so
+// the shadow namespace cannot collide with a real object.
 const repSuffix = "\x00r"
 
 func repKey(name string) string { return name + repSuffix }
@@ -46,11 +46,11 @@ func repKey(name string) string { return name + repSuffix }
 // opposite it in the ring, so one node loss never takes a column and
 // its replica together.
 func (s *Store) repNode(ni int) int {
-	shift := len(s.nodes) / 2
+	shift := s.code.TotalShards() / 2
 	if shift == 0 {
 		shift = 1
 	}
-	return (ni + shift) % len(s.nodes)
+	return (ni + shift) % s.code.TotalShards()
 }
 
 func (o *object) tierLevel() tier.Level { return tier.Level(o.tier.Load()) }
@@ -86,9 +86,6 @@ func (s *Store) ObjectTier(name string) (tier.Level, bool) {
 func (s *Store) MigrateObject(name string, to tier.Level) error {
 	if !to.Valid() {
 		return fmt.Errorf("%w: tier %d", ErrInvalid, int(to))
-	}
-	if s.extBackend {
-		return fmt.Errorf("%w: tier migration requires the built-in node backend", ErrInvalid)
 	}
 	defer s.metrics.migrateSeconds.Start().Stop()
 	sp := s.metrics.reg.StartSpan("store.MigrateObject")
@@ -199,8 +196,8 @@ func (s *Store) buildTierRedundancy(obj *object, from, to tier.Level) (int64, er
 				sums[ni] = colSum(cols[ni])
 				subSums[ni] = subColSums(cols[ni], s.cfg.Code.H)
 			}
-			obj.setSums(st, len(s.nodes), sums)
-			obj.setSubSums(st, len(s.nodes), subSums)
+			obj.setSums(st, s.code.TotalShards(), sums)
+			obj.setSubSums(st, s.code.TotalShards(), subSums)
 		}
 		if needReplicas {
 			for _, ni := range dataIdx {
@@ -239,8 +236,8 @@ func (s *Store) cleanupTierRedundancy(obj *object, from, to tier.Level) {
 	}
 }
 
-// deleteReplicaColumns removes the object's hot-tier replica set (a nil
-// write deletes: see memIO.ReadColumn's missing-column rule).
+// deleteReplicaColumns removes the object's hot-tier replica set (a
+// zero-length write deletes: the NodeIO contract's delete rule).
 func (s *Store) deleteReplicaColumns(obj *object) {
 	rep := repKey(obj.name)
 	for st := 0; st < obj.stripes; st++ {
@@ -254,7 +251,7 @@ func (s *Store) deleteReplicaColumns(obj *object) {
 // cold tier's storage saving).
 func (s *Store) deleteGlobalColumns(obj *object) {
 	for st := 0; st < obj.stripes; st++ {
-		for ni := range s.nodes {
+		for ni := range s.failed {
 			if s.code.Role(ni) == core.RoleGlobalParity {
 				_ = s.writeColumn(ni, obj.name, st, nil)
 			}

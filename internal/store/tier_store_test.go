@@ -8,22 +8,26 @@ import (
 	"approxcode/internal/tier"
 )
 
+// columnStored reports whether the backend holds the column. Deleted
+// columns must read as missing, never as empty columns.
+func columnStored(s *Store, node int, key string, stripe int) bool {
+	_, err := s.backend.ReadColumn(node, key, stripe)
+	return err == nil
+}
+
 // globalParityPresent reports whether any of the object's global parity
 // columns are stored (cold objects must have none).
 func globalParityPresent(s *Store, name string) bool {
-	for ni, nd := range s.nodes {
+	obj, _ := s.objects.get(name)
+	for ni := range s.failed {
 		if s.code.Role(ni) != core.RoleGlobalParity {
 			continue
 		}
-		nd.mu.RLock()
-		cols := nd.columns[name]
-		for _, c := range cols {
-			if len(c) > 0 {
-				nd.mu.RUnlock()
+		for st := 0; st < obj.stripes; st++ {
+			if columnStored(s, ni, name, st) {
 				return true
 			}
 		}
-		nd.mu.RUnlock()
 	}
 	return false
 }
@@ -34,12 +38,7 @@ func allReplicas(s *Store, name string, stripes int) bool {
 	rep := repKey(name)
 	for st := 0; st < stripes; st++ {
 		for _, ni := range s.code.DataNodeIndexes() {
-			nd := s.nodes[s.repNode(ni)]
-			nd.mu.RLock()
-			cols := nd.columns[rep]
-			ok := st < len(cols) && len(cols[st]) > 0
-			nd.mu.RUnlock()
-			if !ok {
+			if !columnStored(s, s.repNode(ni), rep, st) {
 				return false
 			}
 		}

@@ -190,8 +190,8 @@ func (s *Store) applyUpdate(name string, id int, newData []byte) error {
 			sums[i] = colSum(cols[i])
 			subSums[i] = subColSums(cols[i], s.cfg.Code.H)
 		}
-		obj.setSums(st, len(s.nodes), sums)
-		obj.setSubSums(st, len(s.nodes), subSums)
+		obj.setSums(st, s.code.TotalShards(), sums)
+		obj.setSubSums(st, s.code.TotalShards(), subSums)
 		// Hot objects keep their data-column replicas fresh in the same
 		// critical section. Best-effort: a failed replica write degrades
 		// replica reads (which verify by checksum and fall back to the

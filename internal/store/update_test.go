@@ -77,7 +77,7 @@ func TestUpdateHealsCorruptColumnBeforeDelta(t *testing.T) {
 	// into its parity delta and re-checksum it as truth — undetectable
 	// until a reconstruction leaning on that parity returns wrong bytes.
 	parity := -1
-	for i := range s.nodes {
+	for i := range s.failed {
 		if s.code.Role(i) != core.RoleData {
 			parity = i
 			break
